@@ -639,9 +639,10 @@ pub fn default_analysis_sizes() -> Vec<(i64, usize)> {
 }
 
 /// Default sizes for the engine sweep: up through the release-sized grids
-/// the acceptance speedup is quoted at.
+/// the acceptance speedup is quoted at, plus u=8, p=4, where the compile is
+/// compared against the interpreted run.
 pub fn default_engine_sizes() -> Vec<(i64, i64)> {
-    vec![(2, 2), (3, 3), (4, 4), (4, 6), (4, 8), (6, 8)]
+    vec![(2, 2), (3, 3), (4, 4), (4, 6), (4, 8), (8, 4), (6, 8)]
 }
 
 /// One row of the batch-throughput sweep: one paper design executed over a

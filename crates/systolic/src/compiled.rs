@@ -7,9 +7,10 @@
 //! `(J, D, E)` algorithm, mapping `T = [S; Π]` and machine `P` **once** into
 //! flat arrays over dense point slots and then executes over plain indices:
 //!
-//! * **Slot layout** — `BoxSet::rank` gives every index point a dense `u32`
-//!   slot in lexicographic (`iter_points`) order; per-slot firing cycle,
-//!   processor id and per-dependence-column producer slot live in flat `Vec`s.
+//! * **Slot layout** — every index point gets a dense `u32` slot in
+//!   lexicographic (`iter_points`) order, its `BoxSet::rank`; per-slot firing
+//!   cycle, processor id and per-dependence-column producer slot live in flat
+//!   `Vec`s, filled by one allocation-free odometer walk over `J`.
 //! * **CSR fire list** — slots sorted by cycle with per-cycle offsets, so
 //!   each cycle is a contiguous `&[u32]` slice.
 //! * **Arena token store** — one `Vec<Option<B>>` indexed by slot replaces
@@ -33,8 +34,8 @@ use crate::clocked::{ClockedRun, ClockedViolation, SyncCellSemantics};
 use crate::fault::{FaultInjector, NoFaults, TransferFault};
 use crate::mapped::MappedRunReport;
 use crate::trace::{NullSink, TraceEvent, TraceSink};
-use bitlevel_ir::AlgorithmTriplet;
-use bitlevel_linalg::IVec;
+use bitlevel_ir::{AlgorithmTriplet, Cmp, Dependence, Rhs};
+use bitlevel_linalg::{IMat, IVec};
 use bitlevel_mapping::{Interconnect, MappingMatrix, Routing};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -86,6 +87,13 @@ pub enum CompileError {
         /// The offending cardinality.
         cardinality: u128,
     },
+    /// An `i64` product of the mapping overflowed: `Π·q̄` or `S·q̄` at some
+    /// point, `Π·d̄` or `S·d̄` of some column, or a processor's cell number
+    /// in the bounding box of `S·J` (more than 2⁶⁴ cells).
+    ArithmeticOverflow {
+        /// Which product overflowed.
+        what: &'static str,
+    },
 }
 
 impl fmt::Display for CompileError {
@@ -102,6 +110,9 @@ impl fmt::Display for CompileError {
                     f,
                     "index set too large for dense u32 slots: |J| = {cardinality}"
                 )
+            }
+            CompileError::ArithmeticOverflow { what } => {
+                write!(f, "i64 overflow computing {what} for the compiled schedule")
             }
         }
     }
@@ -289,7 +300,14 @@ impl CompiledSchedule {
     /// Checked variant of [`CompiledSchedule::compile`]: rejects algorithms
     /// the dense-slot representation cannot hold (more than 64 dependence
     /// columns, `|J| ≥ 2³²`) **before** allocating anything, so callers can
-    /// degrade to the interpreted engines.
+    /// degrade to the interpreted engines. A mapping whose products overflow
+    /// `i64` gives [`CompileError::ArithmeticOverflow`] instead of a panic.
+    ///
+    /// One allocation-free walk over the box `J`: an odometer steps the
+    /// point in `iter_points` order, so the slot is the loop index; each
+    /// column's validity predicate and box windows are resolved once, its
+    /// producer is `slot − Σ dₐ·strideₐ`, and processor ids are assigned
+    /// first-seen through the integer cell number of `S·q̄`.
     ///
     /// # Panics
     /// Still panics on mapping/algorithm dimension mismatches — those are
@@ -311,14 +329,24 @@ impl CompiledSchedule {
             return Err(CompileError::IndexSetTooLarge { cardinality: card });
         }
         let n_points = card as usize;
+        let overflow = |what| CompileError::ArithmeticOverflow { what };
 
-        let budgets: Vec<i64> = alg.deps.iter().map(|d| d.vector.dot(&t.schedule)).collect();
-        // Same pre-routing conventions as the two interpreted engines.
-        let clocked_routes: Vec<Option<Routing>> = alg
+        let schedule = t.schedule.as_slice();
+        let budgets: Vec<i64> = alg
             .deps
             .iter()
+            .map(|d| checked_dot(d.vector.as_slice(), schedule).ok_or(overflow("Π·d")))
+            .collect::<Result<_, _>>()?;
+        let displacements: Vec<IVec> = alg
+            .deps
+            .iter()
+            .map(|d| checked_matvec(&t.space, d.vector.as_slice()).ok_or(overflow("S·d")))
+            .collect::<Result<_, _>>()?;
+        // Same pre-routing conventions as the two interpreted engines.
+        let clocked_routes: Vec<Option<Routing>> = displacements
+            .iter()
             .zip(&budgets)
-            .map(|(d, &b)| ic.route(&t.space.matvec(&d.vector), b.max(0)))
+            .map(|(sd, &b)| ic.route(sd, b.max(0)))
             .collect();
         let clocked_hops: Vec<Option<i64>> = clocked_routes
             .iter()
@@ -328,56 +356,76 @@ impl CompiledSchedule {
             .into_iter()
             .map(|r| r.map(|r| r.usage))
             .collect();
-        let mapped_routes: Vec<Option<(IVec, i64, i64)>> = alg
-            .deps
+        let mapped_routes: Vec<Option<(IVec, i64, i64)>> = displacements
             .iter()
             .zip(&budgets)
-            .map(|(d, &b)| {
+            .map(|(sd, &b)| {
                 if b <= 0 {
                     return None;
                 }
-                ic.route(&t.space.matvec(&d.vector), b)
-                    .map(|r| (r.usage, r.buffers, r.hops))
+                ic.route(sd, b).map(|r| (r.usage, r.buffers, r.hops))
             })
             .collect();
+
+        let lower = set.lower().as_slice();
+        let upper = set.upper().as_slice();
+        // Mixed-radix slot strides: slot = Σ (qₐ − lₐ)·strideₐ, last axis
+        // fastest. Every partial product divides |J| < 2³², so none overflows.
+        let mut strides = vec![0i64; n];
+        let mut radix = 1i64;
+        for a in (0..n).rev() {
+            strides[a] = radix;
+            radix *= upper[a] - lower[a] + 1;
+        }
+        let columns: Vec<ColumnPlan> = alg
+            .deps
+            .iter()
+            .map(|d| ColumnPlan::new(d, lower, upper, &strides))
+            .collect();
+        let cells = ProcessorCells::new(&t.space, lower, upper)?;
 
         let mut points = Vec::with_capacity(n_points * n);
         let mut cycle = Vec::with_capacity(n_points);
         let mut proc = Vec::with_capacity(n_points);
-        let mut proc_ids: HashMap<IVec, u32> = HashMap::new();
+        let mut proc_ids: HashMap<u64, u32> = HashMap::new();
         let mut proc_coords: Vec<IVec> = Vec::new();
         let mut producers = vec![NO_SLOT; n_points * m];
         let mut consume_mask = vec![0u64; n_points];
         let mut launch_mask = vec![0u64; n_points];
         let mut active_count = vec![0u64; m];
 
-        for (s, q) in set.iter_points().enumerate() {
-            debug_assert_eq!(set.rank(&q), s, "rank disagrees with iter_points order");
-            points.extend_from_slice(q.as_slice());
-            cycle.push(t.time(&q));
-            let place = t.place(&q);
-            let id = match proc_ids.get(&place) {
-                Some(&id) => id,
-                None => {
-                    let id = proc_coords.len() as u32;
-                    proc_ids.insert(place.clone(), id);
-                    proc_coords.push(place);
-                    id
-                }
-            };
+        // One odometer over J in `iter_points` order, so the slot is the loop
+        // index; `place` and `next` are the only per-point buffers, reused.
+        let mut q = lower.to_vec();
+        let mut place = vec![0i64; t.space.rows()];
+        let mut next = vec![0i64; n];
+        for s in 0..n_points {
+            points.extend_from_slice(&q);
+            cycle.push(checked_dot(&q, schedule).ok_or(overflow("Π·q"))?);
+            for (r, x) in place.iter_mut().enumerate() {
+                *x = checked_dot(t.space.row(r), &q).ok_or(overflow("S·q"))?;
+            }
+            let id = *proc_ids.entry(cells.number(&place)).or_insert_with(|| {
+                proc_coords.push(IVec(place.clone()));
+                proc_coords.len() as u32 - 1
+            });
             proc.push(id);
-            for (i, d) in alg.deps.iter().enumerate() {
-                if d.active_at(&q, set) {
+            for (i, col) in columns.iter().enumerate() {
+                if col.consumes_at(&q) {
                     consume_mask[s] |= 1u64 << i;
                     active_count[i] += 1;
-                    let src = set
-                        .try_rank(&(&q - &d.vector))
-                        .expect("active_at guarantees the source lies in J");
-                    producers[s * m + i] = src as u32;
+                    producers[s * m + i] = (s as i64 - col.producer_offset) as u32;
                 }
-                if d.active_at(&(&q + &d.vector), set) {
+                if col.launches_at(&q, &mut next) {
                     launch_mask[s] |= 1u64 << i;
                 }
+            }
+            for a in (0..n).rev() {
+                if q[a] < upper[a] {
+                    q[a] += 1;
+                    break;
+                }
+                q[a] = lower[a];
             }
         }
 
@@ -1360,13 +1408,181 @@ pub fn simulate_mapped_compiled(
     CompiledSchedule::compile(alg, t, ic).mapped_report()
 }
 
+/// `Σ aᵢ·bᵢ` folded left to right like [`IVec::dot`], or `None` where that
+/// would panic on overflow.
+fn checked_dot(a: &[i64], b: &[i64]) -> Option<i64> {
+    a.iter()
+        .zip(b)
+        .try_fold(0i64, |acc, (&x, &y)| acc.checked_add(x.checked_mul(y)?))
+}
+
+/// `M·v` with [`checked_dot`] rows.
+fn checked_matvec(mat: &IMat, v: &[i64]) -> Option<IVec> {
+    (0..mat.rows())
+        .map(|r| checked_dot(mat.row(r), v))
+        .collect::<Option<Vec<i64>>>()
+        .map(IVec)
+}
+
+/// The coordinates `x ∈ [lo, hi]` with `x − shift ∈ [lo, hi]` on one axis,
+/// as an inclusive window; `(1, 0)` (empty) when there are none.
+fn shifted_window(lo: i64, hi: i64, shift: i128) -> (i64, i64) {
+    let from = (lo as i128 + shift).max(lo as i128);
+    let to = (hi as i128 + shift).min(hi as i128);
+    if from > to {
+        (1, 0)
+    } else {
+        (from as i64, to as i64)
+    }
+}
+
+fn in_windows(windows: &[(i64, i64)], q: &[i64]) -> bool {
+    windows
+        .iter()
+        .zip(q)
+        .all(|(&(lo, hi), &x)| lo <= x && x <= hi)
+}
+
+/// One dependence column resolved against the box `J` once, so that whether
+/// it is consumed or launched at a point is a handful of integer compares.
+struct ColumnPlan<'a> {
+    vector: &'a [i64],
+    /// `q − d̄ ∈ J` ⟺ `q` lies in every axis window.
+    consume: Vec<(i64, i64)>,
+    /// `q + d̄ ∈ J` ⟺ `q` lies in every axis window.
+    launch: Vec<(i64, i64)>,
+    /// `Σ dₐ·strideₐ`: the producer of slot `s` is slot `s − producer_offset`.
+    producer_offset: i64,
+    /// The validity predicate's DNF with `Rhs` bounds resolved:
+    /// `(axis, cmp, value)` atoms.
+    clauses: Vec<Vec<(usize, Cmp, i64)>>,
+}
+
+impl<'a> ColumnPlan<'a> {
+    fn new(dep: &'a Dependence, lower: &[i64], upper: &[i64], strides: &[i64]) -> Self {
+        let vector = dep.vector.as_slice();
+        let windows = |sign: i128| -> Vec<(i64, i64)> {
+            (0..vector.len())
+                .map(|a| shifted_window(lower[a], upper[a], sign * vector[a] as i128))
+                .collect()
+        };
+        let offset: i128 = vector
+            .iter()
+            .zip(strides)
+            .map(|(&d, &stride)| d as i128 * stride as i128)
+            .sum();
+        let clauses = dep
+            .validity
+            .clauses()
+            .iter()
+            .map(|clause| {
+                clause
+                    .iter()
+                    .map(|atom| {
+                        let value = match atom.rhs {
+                            Rhs::Const(c) => c,
+                            Rhs::LowerBound => lower[atom.axis],
+                            Rhs::UpperBound => upper[atom.axis],
+                        };
+                        (atom.axis, atom.cmp, value)
+                    })
+                    .collect()
+            })
+            .collect();
+        ColumnPlan {
+            vector,
+            consume: windows(1),
+            launch: windows(-1),
+            // Read only where the column is consumed, which needs
+            // |dₐ| ≤ uₐ − lₐ on every axis and so |offset| < |J|.
+            producer_offset: i64::try_from(offset).unwrap_or(i64::MAX),
+            clauses,
+        }
+    }
+
+    fn holds(&self, q: &[i64]) -> bool {
+        self.clauses.iter().any(|clause| {
+            clause
+                .iter()
+                .all(|&(axis, cmp, value)| (q[axis] == value) == (cmp == Cmp::Eq))
+        })
+    }
+
+    /// [`Dependence::active_at`] at `q ∈ J`.
+    fn consumes_at(&self, q: &[i64]) -> bool {
+        in_windows(&self.consume, q) && self.holds(q)
+    }
+
+    /// [`Dependence::active_at`] at `q + d̄`, using `next` as scratch.
+    fn launches_at(&self, q: &[i64], next: &mut [i64]) -> bool {
+        if !in_windows(&self.launch, q) {
+            return false;
+        }
+        for ((x, &qa), &d) in next.iter_mut().zip(q).zip(self.vector) {
+            *x = qa + d;
+        }
+        self.holds(next)
+    }
+}
+
+/// Integer cell numbers for processor places: the mixed-radix position of
+/// `S·q̄` in the bounding box of `S·J`, so first-seen processor ids come from
+/// a map with no per-point key allocation.
+struct ProcessorCells {
+    lower: Vec<i64>,
+    strides: Vec<u64>,
+}
+
+impl ProcessorCells {
+    fn new(space: &IMat, lower: &[i64], upper: &[i64]) -> Result<Self, CompileError> {
+        let overflow = |what| CompileError::ArithmeticOverflow { what };
+        let rows = space.rows();
+        let mut cell_lower = vec![0i64; rows];
+        let mut strides = vec![0u64; rows];
+        let mut radix = 1u64;
+        for r in (0..rows).rev() {
+            // A linear form takes its extremes over a box at its corners.
+            let (mut min, mut max) = (0i128, 0i128);
+            for (a, &c) in space.row(r).iter().enumerate() {
+                let (x, y) = (c as i128 * lower[a] as i128, c as i128 * upper[a] as i128);
+                min += x.min(y);
+                max += x.max(y);
+            }
+            // Those corners are points of J, so `S·q` overflows at one of them.
+            cell_lower[r] = i64::try_from(min).map_err(|_| overflow("S·q"))?;
+            i64::try_from(max).map_err(|_| overflow("S·q"))?;
+            strides[r] = radix;
+            radix = u64::try_from(max - min + 1)
+                .ok()
+                .and_then(|range| radix.checked_mul(range))
+                .ok_or(overflow("PE cell number"))?;
+        }
+        Ok(ProcessorCells {
+            lower: cell_lower,
+            strides,
+        })
+    }
+
+    /// The cell number of `place ∈ S·J`. Each digit is below its radix and
+    /// the whole number below the checked cell count, so wrapping arithmetic
+    /// never actually wraps.
+    fn number(&self, place: &[i64]) -> u64 {
+        place
+            .iter()
+            .zip(&self.lower)
+            .zip(&self.strides)
+            .fold(0u64, |acc, ((&x, &lo), &stride)| {
+                acc.wrapping_add((x.wrapping_sub(lo) as u64).wrapping_mul(stride))
+            })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::clocked::{run_clocked, MatmulExpansionIICells, MatmulSignals};
     use crate::mapped::simulate_mapped;
-    use bitlevel_ir::{BoxSet, Dependence, DependenceSet, Predicate};
-    use bitlevel_linalg::IMat;
+    use bitlevel_ir::{BoxSet, DependenceSet, Predicate};
     use bitlevel_mapping::PaperDesign;
 
     fn matmul_structure(u: i64, p: i64) -> AlgorithmTriplet {
@@ -1690,5 +1906,352 @@ mod tests {
         // matmul structure drains completely), and the in-flight peaks seen
         // by the trace are the run's.
         assert_eq!(sink.rollup().in_flight_peak, traced.peak_in_flight);
+    }
+
+    /// The byte-identity oracle for [`CompiledSchedule::try_compile`]: the
+    /// direct per-point compile through the public `ir`/`mapping` API — heap
+    /// `IVec` arithmetic, `active_at` twice per column, `try_rank` producers
+    /// and a `HashMap<IVec, _>` processor map.
+    fn reference_compile(
+        alg: &AlgorithmTriplet,
+        t: &MappingMatrix,
+        ic: &Interconnect,
+    ) -> Result<CompiledSchedule, CompileError> {
+        assert_eq!(t.n(), alg.dim(), "mapping/algorithm dimension mismatch");
+        let set = &alg.index_set;
+        let n = alg.dim();
+        let m = alg.deps.len();
+        if m > 64 {
+            return Err(CompileError::TooManyColumns { m });
+        }
+        let card = set.cardinality();
+        if card >= NO_SLOT as u128 {
+            return Err(CompileError::IndexSetTooLarge { cardinality: card });
+        }
+        let n_points = card as usize;
+
+        let budgets: Vec<i64> = alg.deps.iter().map(|d| d.vector.dot(&t.schedule)).collect();
+        // Same pre-routing conventions as the two interpreted engines.
+        let clocked_routes: Vec<Option<Routing>> = alg
+            .deps
+            .iter()
+            .zip(&budgets)
+            .map(|(d, &b)| ic.route(&t.space.matvec(&d.vector), b.max(0)))
+            .collect();
+        let clocked_hops: Vec<Option<i64>> = clocked_routes
+            .iter()
+            .map(|r| r.as_ref().map(|r| r.hops))
+            .collect();
+        let clocked_usage: Vec<Option<IVec>> = clocked_routes
+            .into_iter()
+            .map(|r| r.map(|r| r.usage))
+            .collect();
+        let mapped_routes: Vec<Option<(IVec, i64, i64)>> = alg
+            .deps
+            .iter()
+            .zip(&budgets)
+            .map(|(d, &b)| {
+                if b <= 0 {
+                    return None;
+                }
+                ic.route(&t.space.matvec(&d.vector), b)
+                    .map(|r| (r.usage, r.buffers, r.hops))
+            })
+            .collect();
+
+        let mut points = Vec::with_capacity(n_points * n);
+        let mut cycle = Vec::with_capacity(n_points);
+        let mut proc = Vec::with_capacity(n_points);
+        let mut proc_ids: HashMap<IVec, u32> = HashMap::new();
+        let mut proc_coords: Vec<IVec> = Vec::new();
+        let mut producers = vec![NO_SLOT; n_points * m];
+        let mut consume_mask = vec![0u64; n_points];
+        let mut launch_mask = vec![0u64; n_points];
+        let mut active_count = vec![0u64; m];
+
+        for (s, q) in set.iter_points().enumerate() {
+            debug_assert_eq!(set.rank(&q), s, "rank disagrees with iter_points order");
+            points.extend_from_slice(q.as_slice());
+            cycle.push(t.time(&q));
+            let place = t.place(&q);
+            let id = match proc_ids.get(&place) {
+                Some(&id) => id,
+                None => {
+                    let id = proc_coords.len() as u32;
+                    proc_ids.insert(place.clone(), id);
+                    proc_coords.push(place);
+                    id
+                }
+            };
+            proc.push(id);
+            for (i, d) in alg.deps.iter().enumerate() {
+                if d.active_at(&q, set) {
+                    consume_mask[s] |= 1u64 << i;
+                    active_count[i] += 1;
+                    let src = set
+                        .try_rank(&(&q - &d.vector))
+                        .expect("active_at guarantees the source lies in J");
+                    producers[s * m + i] = src as u32;
+                }
+                if d.active_at(&(&q + &d.vector), set) {
+                    launch_mask[s] |= 1u64 << i;
+                }
+            }
+        }
+
+        // CSR fire list: stable sort by cycle keeps lexicographic slot order
+        // within each cycle — exactly the interpreted engine's firing order.
+        let mut fire_order: Vec<u32> = (0..n_points as u32).collect();
+        fire_order.sort_by_key(|&s| cycle[s as usize]);
+        let mut cycle_values: Vec<i64> = Vec::new();
+        let mut cycle_offsets: Vec<usize> = Vec::new();
+        for (k, &s) in fire_order.iter().enumerate() {
+            let c = cycle[s as usize];
+            if cycle_values.last() != Some(&c) {
+                cycle_values.push(c);
+                cycle_offsets.push(k);
+            }
+        }
+        cycle_offsets.push(n_points);
+
+        let causal = (0..m).all(|i| active_count[i] == 0 || budgets[i] > 0);
+
+        Ok(CompiledSchedule {
+            n,
+            m,
+            n_points,
+            points,
+            cycle,
+            proc,
+            proc_coords,
+            producers,
+            consume_mask,
+            launch_mask,
+            clocked_hops,
+            clocked_usage,
+            mapped_routes,
+            budgets,
+            active_count,
+            cycle_values,
+            cycle_offsets,
+            fire_order,
+            n_links: ic.count(),
+            causal,
+        })
+    }
+
+    /// Inline splitmix64: a deterministic case generator that needs no
+    /// crate, so the cases run offline and a failure names its seed.
+    struct SplitMix64(u64);
+
+    impl SplitMix64 {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform in `lo..=hi`.
+        fn range(&mut self, lo: i64, hi: i64) -> i64 {
+            lo + (self.next() % (hi - lo + 1) as u64) as i64
+        }
+
+        fn coin(&mut self) -> bool {
+            self.next() & 1 == 0
+        }
+    }
+
+    /// `try_compile` agrees with [`reference_compile`] field for field and
+    /// byte for byte, or fails with the same error.
+    fn assert_matches_reference(
+        alg: &AlgorithmTriplet,
+        t: &MappingMatrix,
+        ic: &Interconnect,
+        case: &str,
+    ) -> Option<CompiledSchedule> {
+        match (
+            CompiledSchedule::try_compile(alg, t, ic),
+            reference_compile(alg, t, ic),
+        ) {
+            (Ok(fast), Ok(reference)) => {
+                assert!(
+                    fast == reference,
+                    "{case}: schedule differs from the reference"
+                );
+                assert!(
+                    fast.to_bytes() == reference.to_bytes(),
+                    "{case}: to_bytes differs from the reference"
+                );
+                Some(fast)
+            }
+            (fast, reference) => {
+                assert_eq!(fast.err(), reference.err(), "{case}");
+                None
+            }
+        }
+    }
+
+    #[test]
+    fn compile_matches_the_reference_on_both_designs_and_expansions() {
+        use bitlevel_depanal::{compose, Expansion};
+        use bitlevel_ir::WordLevelAlgorithm;
+        for u in [2, 3, 4, 6] {
+            for p in [2, 3, 4, 6] {
+                for expansion in [Expansion::I, Expansion::II] {
+                    let alg = compose(&WordLevelAlgorithm::matmul(u), p as usize, expansion);
+                    for design in [PaperDesign::TimeOptimal, PaperDesign::NearestNeighbour] {
+                        let case = format!("{design:?} {expansion} u={u} p={p}");
+                        let t = design.mapping(p);
+                        let ic = design.interconnect(p);
+                        assert!(assert_matches_reference(&alg, &t, &ic, &case).is_some());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn compile_matches_the_reference_on_every_explored_frontier_point() {
+        use bitlevel_depanal::{compose, Expansion};
+        use bitlevel_ir::WordLevelAlgorithm;
+        use bitlevel_mapping::{explore, generate_space_family, ExploreConfig, MachineOption};
+        for (u, p) in [(2, 2), (3, 2)] {
+            // The exploration `DesignFlow::default_exploration` sets up.
+            let alg = compose(&WordLevelAlgorithm::matmul(u), p as usize, Expansion::II);
+            let config = ExploreConfig {
+                pi_bound: p,
+                machines: vec![
+                    MachineOption::new("P (long wires)", Interconnect::paper_p(p)),
+                    MachineOption::new("P' (nearest neighbour)", Interconnect::paper_p_prime()),
+                ],
+                max_physical_pes: None,
+            };
+            let spaces = generate_space_family(alg.dim(), 2, p);
+            let frontier = explore(&alg, &spaces, &config).unwrap().frontier;
+            for machine in ["P (long wires)", "P' (nearest neighbour)"] {
+                assert!(
+                    frontier.iter().any(|f| f.machine == machine),
+                    "({u},{p}): no frontier point on {machine}"
+                );
+            }
+            for f in &frontier {
+                let case = format!("({u},{p}) {} on {}", f.mapping, f.machine);
+                assert!(
+                    assert_matches_reference(&alg, &f.mapping, &f.interconnect, &case).is_some()
+                );
+            }
+        }
+    }
+
+    /// A random box with non-trivial lower bounds and random conditional
+    /// columns whose atoms use every `Cmp` and `Rhs`.
+    fn random_structure(rng: &mut SplitMix64) -> AlgorithmTriplet {
+        let n = rng.range(1, 4) as usize;
+        let lower: Vec<i64> = (0..n).map(|_| rng.range(-2, 2)).collect();
+        let upper: Vec<i64> = lower.iter().map(|&l| l + rng.range(0, 3)).collect();
+        let deps = (0..rng.range(1, 6))
+            .map(|_| {
+                let vector: Vec<i64> = (0..n).map(|_| rng.range(-2, 2)).collect();
+                let mut validity = Predicate::always();
+                for _ in 0..rng.range(0, 2) {
+                    let axis = rng.range(0, n as i64 - 1) as usize;
+                    let cmp = if rng.coin() { Cmp::Eq } else { Cmp::Ne };
+                    let rhs = match rng.next() % 3 {
+                        0 => Rhs::Const(rng.range(-3, 4)),
+                        1 => Rhs::LowerBound,
+                        _ => Rhs::UpperBound,
+                    };
+                    let atom = Predicate::atom(axis, cmp, rhs);
+                    validity = if rng.coin() {
+                        validity.and(&atom)
+                    } else {
+                        validity.or(&atom)
+                    };
+                }
+                Dependence::conditional(vector, "r", validity)
+            })
+            .collect();
+        AlgorithmTriplet::new(
+            BoxSet::new(IVec(lower), IVec(upper)),
+            DependenceSet::new(deps),
+            "random structure",
+        )
+    }
+
+    #[test]
+    fn compile_matches_the_reference_on_random_mappings() {
+        use bitlevel_depanal::{compose, Expansion};
+        use bitlevel_ir::WordLevelAlgorithm;
+        let (mut singular, mut non_causal) = (0, 0);
+        for seed in 0..200u64 {
+            let mut rng = SplitMix64(seed);
+            let p = rng.range(2, 3);
+            let alg = if seed.is_multiple_of(2) {
+                let expansion = if rng.coin() {
+                    Expansion::I
+                } else {
+                    Expansion::II
+                };
+                compose(
+                    &WordLevelAlgorithm::matmul(rng.range(2, 3)),
+                    p as usize,
+                    expansion,
+                )
+            } else {
+                random_structure(&mut rng)
+            };
+            let n = alg.dim();
+            let mut rows: Vec<Vec<i64>> = (0..2)
+                .map(|_| (0..n).map(|_| rng.range(-p, p)).collect())
+                .collect();
+            if seed.is_multiple_of(5) {
+                let k = rng.range(-1, 1);
+                rows[1] = rows[0].iter().map(|x| k * x).collect();
+            }
+            let space = IMat::from_rows(&[&rows[0], &rows[1]]);
+            if bitlevel_linalg::rank(&space) < 2 {
+                singular += 1;
+            }
+            let pi = IVec((0..n).map(|_| rng.range(-p, p)).collect());
+            let ic = if rng.coin() {
+                Interconnect::paper_p(p)
+            } else {
+                Interconnect::paper_p_prime()
+            };
+            let t = MappingMatrix::new(space, pi);
+            let case = format!("seed {seed}");
+            if let Some(s) = assert_matches_reference(&alg, &t, &ic, &case) {
+                non_causal += usize::from(!s.is_causal());
+            }
+        }
+        assert!(singular >= 20, "only {singular} singular S");
+        assert!(non_causal >= 20, "only {non_causal} non-causal schedules");
+    }
+
+    #[test]
+    fn overflowing_mapping_is_a_typed_error_not_a_panic() {
+        let alg = AlgorithmTriplet::new(
+            BoxSet::cube(2, 1, 4),
+            DependenceSet::new(vec![
+                Dependence::uniform(IVec::from([1, 0]), "x"),
+                Dependence::uniform(IVec::from([0, 1]), "y"),
+            ]),
+            "2-D uniform",
+        );
+        let ic = Interconnect::new(IMat::from_rows(&[&[0, 1]]));
+        let big = i64::MAX / 2;
+        // Π·q̄ overflows from q̄ = (2, 2) on; every Π·d̄ and S·d̄ fits.
+        let t = MappingMatrix::new(IMat::from_rows(&[&[1, 0]]), IVec::from([big, 1]));
+        assert_eq!(
+            CompiledSchedule::try_compile(&alg, &t, &ic),
+            Err(CompileError::ArithmeticOverflow { what: "Π·q" })
+        );
+        // S·q̄ overflows at the corner q̄ = (4, 4).
+        let t = MappingMatrix::new(IMat::from_rows(&[&[big, 0]]), IVec::from([1, 1]));
+        let err = CompiledSchedule::try_compile(&alg, &t, &ic).unwrap_err();
+        assert_eq!(err, CompileError::ArithmeticOverflow { what: "S·q" });
+        assert!(err.to_string().contains("overflow"));
     }
 }
